@@ -2,10 +2,12 @@
 // Serving-daemon load test: mixed query + ingest + churn traffic against
 // an in-process gkm::serve::Server over loopback TCP, measuring
 // end-to-end RPC latency (p50/p99), sustained query throughput, and the
-// admission-control refusal rate, plus a query-only comparison of the
-// routed+replica read path against the single-reader merged baseline.
+// admission-control refusal rate, plus a query-only comparison of three
+// read paths: the single-reader merged baseline, the routed leader with
+// four search workers, and routed + read replicas with four workers.
 // Emits BENCH_serve_loadtest.json (schema gkm-bench-v1: p50_us, p99_us,
-// qps, overload_rate, routed_qps, merged_qps, routed_merged_qps_ratio).
+// qps, overload_rate, routed_qps, merged_qps, routed_merged_qps_ratio,
+// routed_leader_qps, replica_leader_qps_ratio).
 //
 // Two gate tiers:
 //   always on — the protocol's correctness contract: zero transport
@@ -72,7 +74,6 @@ gkm::serve::ServerOptions Options(const std::string& base,
   opts.params.graph.seed = 17;
   opts.params.graph.shards = 2;
   opts.batch_policy.max_batch = 32;
-  opts.batch_policy.max_delay_us = 500;
   opts.checkpoint_base = base;
   opts.checkpoint_journal = journal;
   return opts;
@@ -309,30 +310,33 @@ int main(int argc, char** argv) {
   std::remove(base.c_str());
   std::remove(journal.c_str());
 
-  // --- replica fan-out: query-only throughput comparison --------------------
-  // Two fresh servers over the same corpus: the classic single-reader
-  // merged baseline vs routed placement + one read replica per shard with
-  // four search workers answering from replica lanes. Same client load (4
-  // query threads); the ratio is the replica-path headline.
-  const auto query_only_qps = [&](bool routed) {
+  // --- routed fan-out: query-only throughput comparison ---------------------
+  // Three fresh servers over the same corpus: the classic single-reader
+  // merged baseline; routed placement with four search workers reading the
+  // leader (no replicas); and routed placement + one read replica per
+  // shard with four workers answering from replica lanes. Same client load
+  // (4 query threads). routed_merged_qps_ratio (routed + replicas over
+  // merged) is gated; replica_leader_qps_ratio isolates what the replicas
+  // add over the routed leader and is report-only.
+  const auto query_only_qps = [&](bool routed, std::size_t replicas) {
     gkm::serve::ServerOptions opts = Options("", "");  // ephemeral, no journal
     opts.params.graph.shards = 4;
     if (routed) {
       opts.params.routed_placement = true;
-      opts.params.read_replicas = 1;
+      opts.params.read_replicas = replicas;
       opts.search_workers = 4;
     }
     std::string err;
     std::unique_ptr<gkm::serve::Server> srv =
         gkm::serve::Server::Start(opts, &err);
-    if (srv == nullptr) Die("replica-compare start: " + err);
+    if (srv == nullptr) Die("query-only compare start: " + err);
     {
       std::unique_ptr<gkm::serve::Client> seeder = MustConnect(srv->port());
       for (std::size_t b = 0; b < seed_n; b += kSeedWindow) {
         std::vector<std::uint32_t> assigned;
         if (seeder->Insert(gkm::SliceRows(seed_data, b, b + kSeedWindow),
                            &assigned) != gkm::serve::Client::Status::kOk) {
-          Die("replica-compare seed insert failed");
+          Die("query-only compare seed insert failed");
         }
       }
     }
@@ -363,16 +367,20 @@ int main(int argc, char** argv) {
         static_cast<double>(gkm::obs::MonotonicNanos() - start_ns) * 1e-9;
     srv->Shutdown();
     srv.reset();
-    if (broken.load()) Die("replica-compare transport failure");
-    if (answered.load() == 0) Die("replica-compare: no accepted searches");
+    if (broken.load()) Die("query-only compare transport failure");
+    if (answered.load() == 0) Die("query-only compare: no accepted searches");
     return static_cast<double>(answered.load()) / secs;
   };
-  const double merged_qps = query_only_qps(false);
-  const double routed_qps = query_only_qps(true);
+  const double merged_qps = query_only_qps(false, 0);
+  const double routed_leader_qps = query_only_qps(true, 0);
+  const double routed_qps = query_only_qps(true, 1);
   const double routed_merged_qps_ratio = routed_qps / merged_qps;
+  const double replica_leader_qps_ratio = routed_qps / routed_leader_qps;
   std::printf("\nquery-only fan-out (S=4, %zu threads): merged single-reader "
-              "%.0f qps, routed+replicas %.0f qps (%.2fx)\n",
-              kQueryThreads, merged_qps, routed_qps, routed_merged_qps_ratio);
+              "%.0f qps, routed leader %.0f qps, routed+replicas %.0f qps "
+              "(%.2fx merged, %.2fx routed leader)\n",
+              kQueryThreads, merged_qps, routed_leader_qps, routed_qps,
+              routed_merged_qps_ratio, replica_leader_qps_ratio);
 
   // --- metrics --------------------------------------------------------------
   std::vector<std::uint64_t> all_ns;
@@ -410,6 +418,8 @@ int main(int argc, char** argv) {
   report.Add("routed_qps", routed_qps);
   report.Add("merged_qps", merged_qps);
   report.Add("routed_merged_qps_ratio", routed_merged_qps_ratio);
+  report.Add("routed_leader_qps", routed_leader_qps);
+  report.Add("replica_leader_qps_ratio", replica_leader_qps_ratio);
   const std::string path = report.Write();
   if (!path.empty()) std::printf("wrote %s\n", path.c_str());
 
@@ -420,9 +430,9 @@ int main(int argc, char** argv) {
     if (p99_us > 25000.0) Die("p99 latency gate: > 25ms under mixed load");
     if (qps < 1000.0) Die("throughput gate: < 1000 qps under mixed load");
     if (routed_merged_qps_ratio < 1.5) {
-      Die("replica fan-out gate: routed+replica qps < 1.5x single-reader");
+      Die("routed fan-out gate: routed+replica qps < 1.5x single-reader");
     }
-    std::printf("perf gates: OK (p99 <= 25ms, qps >= 1000, replica fan-out "
+    std::printf("perf gates: OK (p99 <= 25ms, qps >= 1000, routed fan-out "
                 ">= 1.5x)\n");
   } else {
     std::printf("perf gates skipped (need >= 4 cores and GKM_SCALE >= 1; "

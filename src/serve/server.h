@@ -8,13 +8,12 @@
 //   accept thread     — accepts connections, one reader thread each
 //   connection threads— parse frames (FrameParser), decode, dispatch;
 //                       answer stats inline, enqueue search/ingest
-//   search workers    — loop SearchBatcher::FlushOnce: coalesce
-//                       concurrent queries into one batched search per
-//                       flush (amortizing the shard rwlocks and filling
-//                       SIMD lanes), complete each query with its
-//                       truncated slice. With routed placement + read
-//                       replicas, several workers answer from replica
-//                       lanes without touching the leader's locks
+//   search workers    — loop SearchBatcher::FlushOnce: drain the
+//                       queries already queued into one batched search
+//                       per flush (never waiting for more), complete each
+//                       query with its truncated slice. Workers search
+//                       concurrently under the shards' shared locks, or
+//                       from replica lanes when read replicas are on
 //   ingest worker     — THE only model mutator: pops accepted insert/
 //                       remove ops in queue order, journals each to the
 //                       delta log BEFORE applying, then answers. The
@@ -64,11 +63,12 @@ struct ServerOptions {
   /// Admission cap on queued ingest ops (windows + removal batches).
   std::size_t ingest_queue_capacity = 64;
 
-  /// Search worker threads draining the batcher. One is the classic
-  /// single-reader; more only pay off when the model serves lock-free
-  /// reads — routed placement plus read replicas (params.read_replicas >
-  /// 0), where each flush answers from a replica lane instead of the
-  /// writers' shared locks.
+  /// Search worker threads draining the batcher; each runs one flush at a
+  /// time, so this bounds the searches in flight. Reads share the shard
+  /// locks (or a replica lane when params.read_replicas > 0), so more
+  /// workers pay off whenever several clients query at once; the routed
+  /// leader gains too, and replicas add only relief from ingest's
+  /// exclusive locks.
   std::size_t search_workers = 1;
 
   /// Durability: when `checkpoint_base` is non-empty the server resumes

@@ -119,10 +119,13 @@ struct ReplicaTable {
 /// InsertBatch, per-shard commits run on S concurrent writer threads, each
 /// taking only its own shard's writer lock. Any number of serving threads
 /// call SearchKnn/SearchKnnBatch concurrently with all of it. Determinism:
-/// shard assignment is a pure content hash, every shard is itself
-/// deterministic, and merged results are ordered by (dist, global id) — so
-/// the whole structure stays a pure function of the input sequence at any
-/// writer/pool thread count, for a fixed shard count.
+/// shard assignment is a pure function of the row and the caller's state —
+/// the content hash (ShardOf), or the caller's `placement` (the clusterer's
+/// cluster-routed home shards, computed from checkpointed centroids) —
+/// every shard is itself deterministic, and merged results are ordered by
+/// (dist, global id); so the whole structure stays a pure function of the
+/// input sequence at any writer/pool thread count, for a fixed shard
+/// count.
 ///
 /// Lock discipline: this facade owns no lock. `shards_` and `params_` are
 /// written only during construction (immutable afterwards); every mutable

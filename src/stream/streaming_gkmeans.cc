@@ -287,8 +287,10 @@ void StreamingGkMeans::ObserveWindow(const Matrix& window,
     birth_window_[id] = windows_;
   }
 
+  // (old id, new id) of every row a migration sweep below renumbers.
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> renamed;
   if (!bootstrapped_) {
-    if (graph_.num_alive() >= params_.bootstrap_min) Bootstrap();
+    if (graph_.num_alive() >= params_.bootstrap_min) Bootstrap(&renamed);
   } else {
     for (const std::uint32_t id : fresh) AssignNew(id, centroids);
 
@@ -313,7 +315,7 @@ void StreamingGkMeans::ObserveWindow(const Matrix& window,
     // state, so placement stays a pure function of the stream.
     if (params_.routed_placement && !cluster_home_.empty()) {
       ws.rehomed = RebalanceHomes();
-      ws.migrated = MigrateMisplaced(params_.migrate_budget);
+      ws.migrated = MigrateMisplaced(params_.migrate_budget, &renamed);
     }
   }
 
@@ -337,10 +339,23 @@ void StreamingGkMeans::ObserveWindow(const Matrix& window,
     history_.pop_front();
   }
   history_.push_back(ws);
-  if (assigned != nullptr) *assigned = std::move(fresh);
+  if (assigned == nullptr) return;
+  // A sweep may have moved some of this window's rows to their home shard;
+  // answer with the ids they hold now. Each row moves at most once per
+  // sweep, so one lookup per id suffices.
+  if (!renamed.empty()) {
+    std::sort(renamed.begin(), renamed.end());
+    for (std::uint32_t& id : fresh) {
+      const auto it = std::lower_bound(renamed.begin(), renamed.end(),
+                                       std::make_pair(id, 0u));
+      if (it != renamed.end() && it->first == id) id = it->second;
+    }
+  }
+  *assigned = std::move(fresh);
 }
 
-void StreamingGkMeans::Bootstrap() {
+void StreamingGkMeans::Bootstrap(
+    std::vector<std::pair<std::uint32_t, std::uint32_t>>* renamed) {
   TwoMeansParams tp;
   tp.k = params_.k;
   tp.bisect_epochs = params_.bisect_epochs;
@@ -374,7 +389,7 @@ void StreamingGkMeans::Bootstrap() {
   // directly onto the home shard, so only churn strands rows after this.
   if (params_.routed_placement) {
     AssignClusterHomes();
-    MigrateMisplaced(std::numeric_limits<std::size_t>::max());
+    MigrateMisplaced(std::numeric_limits<std::size_t>::max(), renamed);
   }
 }
 
@@ -842,7 +857,9 @@ std::size_t StreamingGkMeans::RebalanceHomes() {
   return moves;
 }
 
-std::size_t StreamingGkMeans::MigrateMisplaced(std::size_t budget) {
+std::size_t StreamingGkMeans::MigrateMisplaced(
+    std::size_t budget,
+    std::vector<std::pair<std::uint32_t, std::uint32_t>>* renamed) {
   const std::size_t S = graph_.num_shards();
   if (S < 2 || cluster_home_.empty() || budget == 0) return 0;
   GKM_TRACE_SPAN("stream.migrate");
@@ -884,6 +901,7 @@ std::size_t StreamingGkMeans::MigrateMisplaced(std::size_t budget) {
     for (std::uint32_t& rep : cluster_reps_) {
       if (rep == id) rep = ng;
     }
+    renamed->emplace_back(id, ng);
     ++moved;
   }
   if (moved > 0) {

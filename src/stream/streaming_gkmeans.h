@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/matrix.h"
@@ -186,7 +187,10 @@ class StreamingGkMeans {
   /// As above, additionally reporting the global id assigned to each row
   /// (row order). Removals make ids non-contiguous — reclaimed slots are
   /// reused lowest-first — so ingest front-ends (the serving daemon's
-  /// insert opcode) need the explicit mapping to answer clients.
+  /// insert opcode) need the explicit mapping to answer clients. The ids
+  /// are current when this returns — rows the window's own migration
+  /// sweep moved are reported under their new ids — but a later window's
+  /// sweep may renumber them again (docs/architecture.md).
   void ObserveWindow(const Matrix& window,
                      std::vector<std::uint32_t>* assigned);
 
@@ -273,7 +277,9 @@ class StreamingGkMeans {
   void AssignNew(std::uint32_t id, const Matrix& centroids);
 
   /// Batch initialization once bootstrap_min points have accumulated.
-  void Bootstrap();
+  /// Under routed placement its one-time migration appends the ids it
+  /// renumbers to `renamed` (see MigrateMisplaced).
+  void Bootstrap(std::vector<std::pair<std::uint32_t, std::uint32_t>>* renamed);
 
   /// `epochs` shuffled Delta-I passes over `ids`; returns moves made.
   std::size_t RunEpochs(const std::vector<std::uint32_t>& ids,
@@ -318,8 +324,12 @@ class StreamingGkMeans {
   /// representative bookkeeping carried over, cluster statistics untouched
   /// (the point never leaves its cluster). Stateless by design (no resume
   /// cursor): a checkpoint taken mid-migration captures everything the
-  /// next sweep needs in cluster_home_ + labels_. Returns rows moved.
-  std::size_t MigrateMisplaced(std::size_t budget);
+  /// next sweep needs in cluster_home_ + labels_. Appends (old id, new
+  /// id) per moved row to `renamed`; a row moves at most once per sweep.
+  /// Returns rows moved.
+  std::size_t MigrateMisplaced(
+      std::size_t budget,
+      std::vector<std::pair<std::uint32_t, std::uint32_t>>* renamed);
 
   // Lock discipline: the clusterer owns no lock, and every field below is
   // ingest-thread-owned — written only inside ObserveWindow/RemovePoint/

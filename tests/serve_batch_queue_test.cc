@@ -6,12 +6,13 @@
 //    per query, exactly what a standalone SearchKnn returns — including
 //    when jobs with different top-k are grouped (max-topk search +
 //    per-job truncation, the k-prefix property).
-//  * Policy: a full batch flushes without waiting; a lone trickle query
-//    flushes once the max-delay bound expires, never earlier.
+//  * Drain policy: a lone query flushes on the first FlushOnce as a batch
+//    of one; jobs queued while no worker flushes are taken whole, up to
+//    max_batch rows per flush.
 //  * Back-pressure: admission beyond capacity returns kOverloaded
 //    immediately (never blocks); accepted work always completes.
-//  * Lifecycle: Stop() refuses new work, drains accepted jobs without
-//    waiting out the delay bound, then FlushOnce reports done.
+//  * Lifecycle: Stop() refuses new work, drains accepted jobs, then
+//    FlushOnce reports done.
 
 #include <algorithm>
 #include <cstdint>
@@ -22,7 +23,6 @@
 #include "common/thread_pool.h"
 #include "dataset/synthetic.h"
 #include "gtest/gtest.h"
-#include "obs/clock.h"
 #include "serve/batch_queue.h"
 #include "stream/sharded_online_knn_graph.h"
 
@@ -95,8 +95,7 @@ TEST(SearchBatcher, CoalescedEqualsPerQueryOnRealGraph) {
   }
 
   BatchPolicy policy;
-  policy.max_batch = 8;  // 24 pending rows => 3 full flushes, no delay wait
-  policy.max_delay_us = 60 * 1000 * 1000;  // must not matter: batches fill
+  policy.max_batch = 8;  // 24 pending rows => 3 full flushes
   SearchBatcher batcher(policy, [&graph](const Matrix& q, std::uint32_t k) {
     return graph.SearchKnnBatch(q, k);
   });
@@ -143,11 +142,10 @@ TEST(SearchBatcher, CoalescedEqualsPerQueryOnRealGraph) {
   }
 }
 
-TEST(SearchBatcher, FullBatchFlushesWithoutDelayWait) {
+TEST(SearchBatcher, FullBatchFlushesAsOneCall) {
   FakeSearch fake;
   BatchPolicy policy;
   policy.max_batch = 4;
-  policy.max_delay_us = 60 * 1000 * 1000;  // a hang here fails the test run
   SearchBatcher batcher(policy, fake.Fn());
 
   Matrix q = MakeData(4);
@@ -163,32 +161,60 @@ TEST(SearchBatcher, FullBatchFlushesWithoutDelayWait) {
   EXPECT_EQ(batcher.pending_rows(), 0u);
 }
 
-TEST(SearchBatcher, MaxDelayHonoredUnderTrickleLoad) {
+TEST(SearchBatcher, LoneJobFlushesAtOnceAsBatchOfOne) {
   FakeSearch fake;
   BatchPolicy policy;
-  policy.max_batch = 64;  // never fills: only the delay bound can flush
-  policy.max_delay_us = 20 * 1000;
+  policy.max_batch = 64;  // far from full: the drain must not wait for it
   SearchBatcher batcher(policy, fake.Fn());
 
   Matrix q = MakeData(1);
   std::vector<std::vector<Neighbor>> sink;
   ASSERT_EQ(batcher.TrySubmit(OneRowJob(q.Row(0), 3, &sink)),
             Admission::kAccepted);
-  const std::int64_t t0 = obs::MonotonicNanos();
   ASSERT_TRUE(batcher.FlushOnce());
-  const std::int64_t waited_ns = obs::MonotonicNanos() - t0;
-  // The lone query flushed despite the batch never filling, and not
-  // before its delay bound expired.
-  EXPECT_EQ(sink.size(), 1u);
-  EXPECT_GE(waited_ns, policy.max_delay_us * 1000);
+  ASSERT_EQ(sink.size(), 1u);
   EXPECT_EQ(sink[0].size(), 3u);
+  EXPECT_EQ(fake.calls, (std::vector<std::pair<std::size_t, std::uint32_t>>{
+                            {1, 3}}));
+}
+
+TEST(SearchBatcher, QueuedJobsDrainWholeUpToMaxBatch) {
+  FakeSearch fake;
+  BatchPolicy policy;
+  policy.max_batch = 4;
+  SearchBatcher batcher(policy, fake.Fn());
+
+  // Jobs of {1, 2, 1, 3, 2} rows queue up while no worker flushes.
+  const Matrix q = MakeData(9);
+  std::vector<std::size_t> done_rows;  // rows per completed job, in order
+  std::size_t at = 0;
+  for (const std::size_t rows : {1, 2, 1, 3, 2}) {
+    SearchJob job;
+    job.queries = SliceRows(q, at, at + rows);
+    at += rows;
+    job.topk = 2;
+    job.done = [&done_rows](std::vector<std::vector<Neighbor>> r) {
+      done_rows.push_back(r.size());
+    };
+    ASSERT_EQ(batcher.TrySubmit(std::move(job)), Admission::kAccepted);
+  }
+  // First flush: 1 + 2 + 1 rows fill max_batch exactly.
+  ASSERT_TRUE(batcher.FlushOnce());
+  EXPECT_EQ(done_rows, (std::vector<std::size_t>{1, 2, 1}));
+  EXPECT_EQ(batcher.pending_rows(), 5u);
+  // Second flush: the 3-row job is under max_batch, so the 2-row job
+  // joins whole and overshoots to 5 rows rather than being split.
+  ASSERT_TRUE(batcher.FlushOnce());
+  EXPECT_EQ(done_rows, (std::vector<std::size_t>{1, 2, 1, 3, 2}));
+  EXPECT_EQ(fake.calls, (std::vector<std::pair<std::size_t, std::uint32_t>>{
+                            {4, 2}, {5, 2}}));
+  EXPECT_EQ(batcher.pending_rows(), 0u);
 }
 
 TEST(SearchBatcher, OverloadedReturnsImmediatelyNeverBlocks) {
   FakeSearch fake;
   BatchPolicy policy;
   policy.max_batch = 64;
-  policy.max_delay_us = 1000;
   policy.max_pending = 4;
   SearchBatcher batcher(policy, fake.Fn());
 
@@ -222,7 +248,6 @@ TEST(SearchBatcher, StopDrainsAcceptedJobsThenReportsDone) {
   FakeSearch fake;
   BatchPolicy policy;
   policy.max_batch = 64;
-  policy.max_delay_us = 60 * 1000 * 1000;  // stop must NOT wait this out
   SearchBatcher batcher(policy, fake.Fn());
 
   Matrix q = MakeData(2);
@@ -234,7 +259,7 @@ TEST(SearchBatcher, StopDrainsAcceptedJobsThenReportsDone) {
   batcher.Stop();
   EXPECT_EQ(batcher.TrySubmit(OneRowJob(q.Row(0), 2, &sink)),
             Admission::kStopped);
-  // Accepted jobs drain promptly (no 60 s delay wait), then done.
+  // Accepted jobs still drain, then done.
   EXPECT_TRUE(batcher.FlushOnce());
   EXPECT_EQ(sink.size(), 2u);
   EXPECT_FALSE(batcher.FlushOnce());

@@ -2,8 +2,10 @@
 // Tests for cluster-routed shard placement: home-shard invariants after
 // ingest/churn/migration, routed-vs-merged search quality, checkpoint
 // byte-identity across thread counts and across a save/resume that lands
-// mid-migration, replica read equality, and the GKMC v6 round trip.
+// mid-migration, insert answers that stay current across the window's own
+// migration sweep, replica read equality, and the GKMC v6 round trip.
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <optional>
@@ -134,6 +136,49 @@ TEST(StreamRoutingTest, RoutedPlacementKeepsPointsOnHomeShards) {
   const SyntheticData more = StreamData(600, 31);
   Feed(model, more.vectors, 200);
   expect_placed();
+}
+
+TEST(StreamRoutingTest, InsertAnswersNameCurrentIdsAfterSameWindowMigration) {
+  StreamingGkMeans model(kDim, RoutedParams());
+  const std::size_t S = model.graph().num_shards();
+  const SyntheticData data = StreamData(1400);
+  const SyntheticData more = StreamData(600, 31);
+
+  // Every window's answer must name live ids holding the inserted rows.
+  std::size_t moved_in_window = 0;
+  const auto feed_checked = [&](const Matrix& rows) {
+    for (std::size_t b = 0; b < rows.rows(); b += 200) {
+      const Matrix window = SliceRows(rows, b, std::min(b + 200, rows.rows()));
+      const bool was_bootstrapped = model.bootstrapped();
+      std::vector<std::uint32_t> assigned;
+      model.ObserveWindow(window, &assigned);
+      ASSERT_EQ(assigned.size(), window.rows());
+      for (std::size_t r = 0; r < window.rows(); ++r) {
+        const std::uint32_t id = assigned[r];
+        ASSERT_TRUE(model.graph().IsAlive(id)) << "row " << b + r;
+        EXPECT_EQ(std::memcmp(model.graph().Point(id), window.Row(r),
+                              kDim * sizeof(float)),
+                  0)
+            << "row " << b + r << " answered id " << id;
+        // The bootstrap window content-hashes its rows, then migrates the
+        // off-home ones: those moved within the window that answered them.
+        if (!was_bootstrapped && model.bootstrapped() &&
+            id % S != model.graph().ShardOf(window.Row(r))) {
+          ++moved_in_window;
+        }
+      }
+    }
+  };
+  feed_checked(data.vectors);
+  ASSERT_TRUE(model.bootstrapped());
+  EXPECT_GT(moved_in_window, 0u);
+
+  // Churn skews the shard loads, so later windows re-home clusters and
+  // sweep again; answers must stay current through that too.
+  for (std::uint32_t g = 0; g < model.labels().size(); g += 3) {
+    if (model.labels()[g] != kUnassigned) model.RemovePoint(g);
+  }
+  feed_checked(more.vectors);
 }
 
 TEST(StreamRoutingTest, RoutedSearchKeepsMergedQuality) {

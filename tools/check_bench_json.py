@@ -55,11 +55,14 @@ REQUIRED_KEYS = {
         "p99_us",
         "qps",
         "overload_rate",
-        # Replica read path: routed+replica fan-out vs the single-reader
-        # merged baseline over the same corpus.
+        # Query-only read paths over the same corpus: routed+replica
+        # fan-out vs the single-reader merged baseline (gated), and the
+        # replica ablation against the routed leader (report-only).
         "routed_qps",
         "merged_qps",
         "routed_merged_qps_ratio",
+        "routed_leader_qps",
+        "replica_leader_qps_ratio",
     ],
 }
 
